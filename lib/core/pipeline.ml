@@ -68,11 +68,13 @@ let cluster_geometry pool g labels k =
       (vs, sub, mapping))
     members
 
-(* diameter bound b for flood phases: max strong diameter over clusters *)
+(* diameter bound b for flood phases: max strong diameter over clusters,
+   with the number of eccentricity BFS summed over clusters *)
 let cluster_diameter_bound pool geometry =
   Parallel.Pool.map_reduce pool
-    ~map:(fun (_, sub, _) -> Traversal.diameter sub)
-    ~reduce:max ~init:1 geometry
+    ~map:(fun (_, sub, _) -> Traversal.diameter_counted sub)
+    ~reduce:(fun (b, runs) (d, r) -> (max b d, runs + r))
+    ~init:(1, 0) geometry
 
 (* central leader choice, matching the distributed election's rule: max
    intra-cluster degree, ties to the larger id *)
@@ -112,7 +114,9 @@ let prepare ?(mode = Simulated) ?(engine = Spectral_engine)
   in
   let b =
     Obs.Span.with_ "pipeline.diameter" (fun () ->
-        cluster_diameter_bound pool geometry)
+        let b, runs = cluster_diameter_bound pool geometry in
+        if Obs.enabled () then Obs.Metric.count "pipeline.diameter_bfs" runs;
+        b)
   in
   let charged = construction_charge ~n ~epsilon in
   let inter = List.length decomposition.inter_edges in

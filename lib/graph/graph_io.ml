@@ -30,6 +30,10 @@ let of_string s =
       in
       match ints header with
       | [ n; m ] ->
+          if n < 0 || m < 0 then
+            failwith
+              (Printf.sprintf
+                 "Graph_io.of_string: negative header \"%d %d\"" n m);
           if List.length rest <> m then
             failwith
               (Printf.sprintf

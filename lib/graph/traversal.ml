@@ -87,13 +87,107 @@ let is_connected g =
 let eccentricity g v =
   Array.fold_left max 0 (bfs g v)
 
-let diameter g =
-  let best = ref 0 in
-  for v = 0 to Graph.n g - 1 do
-    let e = eccentricity g v in
-    if e > !best then best := e
+(* BFS from [src] into caller-owned buffers. [dist] must be [-1] on all of
+   [src]'s component; on return [queue.(0 .. len-1)] lists that component
+   in BFS order, [dist] holds their distances, and [len] is returned. *)
+(* lint: hot *)
+let bfs_into g dist queue src =
+  dist.(src) <- 0;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    let dw = dist.(v) + 1 in
+    for i = 0 to Graph.degree g v - 1 do
+      let w = Graph.neighbor_at g v i in
+      if dist.(w) < 0 then begin
+        dist.(w) <- dw;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
+  done;
+  !tail
+
+(* Next BFS source among the live candidates [cand.(0 .. live-1)]: the
+   largest upper bound when [high], else the smallest lower bound; ties go
+   to the higher degree, then to the smaller id. *)
+let pick_source g ~high lower upper cand live =
+  let key v = if high then upper.(v) else - lower.(v) in
+  let best = ref cand.(0) in
+  for i = 1 to live - 1 do
+    let v = cand.(i) and b = !best in
+    let kv = key v and kb = key b in
+    if kv > kb
+       || kv = kb
+          && (Graph.degree g v > Graph.degree g b
+             || (Graph.degree g v = Graph.degree g b && v < b))
+    then best := v
   done;
   !best
+
+(* Bounding diameters (Takes & Kosters, CIKM 2011), one component at a
+   time. Every vertex keeps bounds lower <= ecc <= upper; a BFS from [s]
+   with eccentricity [e] tightens each vertex [w] at distance [d] to
+   lower >= max d (e - d) and upper <= e + d. [best], the largest
+   eccentricity computed so far, is a lower bound on the diameter, so a
+   vertex with upper <= best cannot raise it and is dropped. This also
+   drops a vertex whose two bounds met: max d (e - d) <= e <= best, so
+   its upper bound equals its lower bound and is at most [best]. A BFS
+   source is always dropped by its own BFS, so the loop ends after at
+   most n BFS. *)
+let diameter_counted g =
+  let n = Graph.n g in
+  let dist = Array.make n (-1) and queue = Array.make n 0 in
+  (* lower.(v) < 0 marks a vertex whose component is not yet reached *)
+  let lower = Array.make n (-1) and upper = Array.make n 0 in
+  let cand = Array.make n 0 in
+  let best = ref 0 and runs = ref 0 in
+  let reset len =
+    for i = 0 to len - 1 do
+      dist.(queue.(i)) <- -1
+    done
+  in
+  for root = 0 to n - 1 do
+    if lower.(root) < 0 then begin
+      let size = bfs_into g dist queue root in
+      reset size;
+      for i = 0 to size - 1 do
+        let v = queue.(i) in
+        cand.(i) <- v;
+        lower.(v) <- 0;
+        upper.(v) <- size - 1
+      done;
+      let live = ref (if size - 1 <= !best then 0 else size) in
+      let high = ref true in
+      while !live > 0 do
+        let src = pick_source g ~high:!high lower upper cand !live in
+        let len = bfs_into g dist queue src in
+        incr runs;
+        let ecc = dist.(queue.(len - 1)) in
+        if ecc > !best then best := ecc;
+        let kept = ref 0 in
+        for i = 0 to !live - 1 do
+          let w = cand.(i) in
+          let d = dist.(w) in
+          let lo = if d > ecc - d then d else ecc - d in
+          if lo > lower.(w) then lower.(w) <- lo;
+          if ecc + d < upper.(w) then upper.(w) <- ecc + d;
+          if upper.(w) > !best then begin
+            cand.(!kept) <- w;
+            incr kept
+          end
+        done;
+        live := !kept;
+        reset len;
+        high := not !high
+      done
+    end
+  done;
+  (!best, !runs)
+
+let diameter g = fst (diameter_counted g)
 
 let argmax_dist dist =
   let best = ref 0 in

@@ -34,10 +34,23 @@ val is_connected : Graph.t -> bool
     vertex. *)
 val eccentricity : Graph.t -> int -> int
 
-(** Exact diameter of the largest component, by running BFS from every
-    vertex; [0] on the empty graph. Linear in [n * m]: intended for
-    small-to-medium graphs and tests. *)
+(** Exact diameter: the largest eccentricity over all vertices, that is the
+    maximum of the component diameters; [0] on a graph without edges.
+    Computed per component by the bounding-diameters algorithm of Takes &
+    Kosters (CIKM 2011): each vertex keeps a lower and an upper
+    eccentricity bound, BFS sources alternate between the largest upper
+    and the smallest lower bound (ties to higher degree, then smaller id),
+    and a vertex is dropped once its upper bound is at most the largest
+    eccentricity found so far. Grids and planar clusters typically need
+    a handful to a few dozen BFS; the worst case is still one BFS per
+    vertex, i.e. [n * m], e.g. on cycles and other vertex-transitive
+    graphs, where every vertex has the same eccentricity. *)
 val diameter : Graph.t -> int
+
+(** [diameter_counted g] is [(diameter g, runs)], where [runs] is the number
+    of eccentricity BFS the bounding loop ran (a deterministic function of
+    [g]). *)
+val diameter_counted : Graph.t -> int * int
 
 (** Lower bound on the diameter by a double BFS sweep (exact on trees). *)
 val diameter_double_sweep : Graph.t -> int

@@ -57,6 +57,29 @@ let test_pipeline_broadcast () =
   | None -> Alcotest.fail "expected stats in simulated mode"
   | Some stats -> checkb "broadcast ran" true (stats.Congest.Network.rounds > 0)
 
+let test_pipeline_diameter_bound () =
+  let g = Generators.blob_chain ~blobs:8 ~blob_size:16 ~seed:5 in
+  Obs.reset ();
+  Obs.enable ();
+  let p = Pipeline.prepare ~mode:Charged g ~epsilon:0.5 ~seed:1 in
+  let tree = Obs.snapshot_tree () in
+  Obs.disable ();
+  check "clusters" 8 p.report.k;
+  check "diameter bound pinned" 4 p.report.diameter_bound;
+  (* the counter is the BFS count summed over clusters *)
+  let runs =
+    Array.fold_left
+      (fun acc (cl : Pipeline.cluster) ->
+        acc + snd (Traversal.diameter_counted cl.sub))
+      0 p.clusters
+  in
+  match Obs.Agg.find_path tree [ "pipeline.prepare"; "pipeline.diameter" ] with
+  | None -> Alcotest.fail "no pipeline.diameter span"
+  | Some node ->
+      check "pipeline.diameter_bfs" runs
+        (Option.value ~default:0
+           (Obs.Agg.SMap.find_opt "pipeline.diameter_bfs" node.Obs.Agg.sums))
+
 (* ------------------------------------------------------------------ *)
 (* MaxIS application (Theorem 1.2)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -402,6 +425,7 @@ let () =
           tc "inter-cluster budget" test_pipeline_inter_fraction;
           tc "solve locally" test_pipeline_solve_locally;
           tc "broadcast" test_pipeline_broadcast;
+          tc "diameter bound" test_pipeline_diameter_bound;
         ] );
       ( "app_mis",
         [

@@ -116,6 +116,21 @@ let test_blob_chain_structure () =
       ignore (Generators.blob_chain ~blobs:0 ~blob_size:5 ~seed:0))
 
 (* ------------------------------------------------------------------ *)
+(* Graph_io header validation                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_graph_io_negative_header () =
+  List.iter
+    (fun (input, msg) ->
+      Alcotest.check_raises input (Failure msg) (fun () ->
+          ignore (Graph_io.of_string input)))
+    [
+      ("-1 0\n", "Graph_io.of_string: negative header \"-1 0\"");
+      ("3 -1\n", "Graph_io.of_string: negative header \"3 -1\"");
+      ("-2 1\n0 1\n", "Graph_io.of_string: negative header \"-2 1\"");
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Weighted matching reconstruction (qcheck)                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -251,5 +266,6 @@ let () =
       ("cluster_view", [ tc "accessors" test_cluster_view_accessors ]);
       ("preprocess", [ tc "mapping integrity" test_preprocess_mapping_integrity ]);
       ("blob_chain", [ tc "structure" test_blob_chain_structure ]);
+      ("graph_io", [ tc "negative header" test_graph_io_negative_header ]);
       ("qcheck", qcheck_cases);
     ]

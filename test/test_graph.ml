@@ -157,10 +157,41 @@ let test_components () =
     "component list" [ [ 0; 1 ]; [ 2; 3; 4 ]; [ 5 ] ]
     (Traversal.component_list g)
 
-let test_diameter_cycle () =
-  check "diameter C10" 5 (Traversal.diameter (Generators.cycle 10));
-  check "diameter P7" 6 (Traversal.diameter (Generators.path 7));
-  check "diameter K5" 1 (Traversal.diameter (Generators.complete 5))
+(* Test-only oracle: the all-pairs definition, one BFS per vertex. *)
+let diameter_all_pairs g =
+  let best = ref 0 in
+  for v = 0 to Graph.n g - 1 do
+    best := max !best (Traversal.eccentricity g v)
+  done;
+  !best
+
+let test_diameter_known () =
+  let cases =
+    [ ("C10", Generators.cycle 10, 5);
+      ("P7", Generators.path 7, 6);
+      ("empty graph", Graph.of_edges 0 [], 0);
+      ("5 isolated vertices", Graph.empty 5, 0);
+      ("C101", Generators.cycle 101, 50);
+      ("K5", Generators.complete 5, 1);
+      ("64x64 grid", Generators.grid 64 64, 126);
+      (* the larger diameter (path 2..9, 7) is not in vertex 0's component *)
+      ( "two components",
+        Graph.of_edges 10 (((0, 1) :: List.init 7 (fun i -> (i + 2, i + 3)))),
+        7 ) ]
+  in
+  List.iter
+    (fun (name, g, want) ->
+      check (name ^ " oracle") want (diameter_all_pairs g);
+      check name want (Traversal.diameter g))
+    cases
+
+let test_diameter_bfs_counts () =
+  (* a vertex-transitive cycle is the worst case: one BFS per vertex *)
+  check "C101 runs" 101 (snd (Traversal.diameter_counted (Generators.cycle 101)));
+  let d, runs = Traversal.diameter_counted (Generators.grid 64 64) in
+  check "grid diameter" 126 d;
+  checkb "grid needs few BFS" true (runs <= 10);
+  check "no edges, no BFS" 0 (snd (Traversal.diameter_counted (Graph.empty 5)))
 
 let test_double_sweep_tree () =
   let g = Generators.random_tree 60 ~seed:3 in
@@ -536,6 +567,12 @@ let prop_bfs_triangle_inequality =
              || (d.(u) >= 0 && d.(v) >= 0 && abs (d.(u) - d.(v)) <= 1)))
         true)
 
+let prop_diameter_matches_oracle =
+  QCheck.Test.make ~name:"bounding diameter equals the all-pairs oracle"
+    ~count:300 arb_graph (fun (n, edges) ->
+      let g = Graph.of_edges n edges in
+      Traversal.diameter g = diameter_all_pairs g)
+
 let prop_contract_minor_smaller =
   QCheck.Test.make ~name:"contraction never increases n or m" ~count:200
     arb_graph (fun (n, edges) ->
@@ -572,6 +609,7 @@ let qcheck_cases =
       prop_handshake;
       prop_induced_subgraph_edges;
       prop_bfs_triangle_inequality;
+      prop_diameter_matches_oracle;
       prop_contract_minor_smaller;
       prop_union_find_transitive;
     ]
@@ -606,7 +644,8 @@ let () =
           tc "bfs multi-source" test_bfs_multi;
           tc "bfs layers" test_bfs_layers;
           tc "components" test_components;
-          tc "diameter known graphs" test_diameter_cycle;
+          tc "diameter known graphs" test_diameter_known;
+          tc "diameter bfs counts" test_diameter_bfs_counts;
           tc "double sweep on trees" test_double_sweep_tree;
           tc "dijkstra unit = bfs" test_dijkstra_unit_matches_bfs;
           tc "dijkstra weighted" test_dijkstra_weighted;
