@@ -903,9 +903,11 @@ let fault_sweep () =
 (* ------------------------------------------------------------------ *)
 (* congest-bench: the active-vertex scheduler against the reference     *)
 (* loop. Each workload runs the same init / round function through      *)
-(* Network.run_reference and Network.run ~schedule:Event_driven,        *)
-(* asserts identical statistics, and records simulated rounds/sec and   *)
-(* minor-heap allocation per round in BENCH_congest.json.               *)
+(* Network.run_reference and the event loop of Network.run             *)
+(* ~schedule:Event_driven twice: "event" is one shard with the boxed    *)
+(* codec (the defaults), "sharded" is --shards shards with int_codec.   *)
+(* It asserts identical statistics and records simulated rounds/sec     *)
+(* and minor-heap allocation per round in BENCH_congest.json.           *)
 (* bench/main.ml sets the refs from --congest-n / --congest-out.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1067,7 +1069,9 @@ let congest_sharded_exec () =
   Congest.Network.Sharded { shards = max 1 !congest_shards; pool = !pool }
 
 let congest_bench () =
-  note "\n### congest-bench: scheduler and shard pool vs reference loop\n";
+  note "\n### congest-bench: event loop at 1 and N shards vs reference loop\n";
+  note "event = 1 shard, boxed codec; sharded = %d shards, int_codec\n"
+    (max 1 !congest_shards);
   note "claim: identical stats; large speedups on sparse frontiers\n";
   let bench_one cw =
     let n = Graph.n cw.cw_graph in
@@ -1164,14 +1168,17 @@ let congest_bench () =
   in
   let results = List.map bench_one (congest_workloads !congest_n) in
   print_table
-    ~title:"congest-bench: Event_driven / sharded vs run_reference"
+    ~title:
+      "congest-bench: Event_driven at 1 shard (event) / N shards (sharded) \
+       vs run_reference"
     ~header:
       [ "workload"; "n"; "rounds"; "messages"; "ref calls"; "event calls";
         "speedup"; "sh speedup"; "stats eq" ]
     (List.map snd results);
-  (* the scaling ladder: sharded vs sequential event-driven (no reference
-     side — the full sweep is what the big-n runs exist to avoid), at
-     n = m/16, m/4, m for the event-friendly workloads *)
+  (* the scaling ladder: N shards with int_codec vs 1 shard with the
+     boxed codec (no reference side — the full sweep is what the big-n
+     runs exist to avoid), at n = m/16, m/4, m for the event-friendly
+     workloads *)
   let ladder_one n cw =
     let gn = Graph.n cw.cw_graph in
     let msg_bits _ = Congest.Bits.id_bits gn in
@@ -1215,7 +1222,10 @@ let congest_bench () =
     in
     if candidates = [] then [ scale_max ] else candidates
   in
-  note "\n### sharded scaling ladder (event-driven vs sharded)\n";
+  note
+    "\n### sharded scaling ladder (event = 1 shard, boxed codec; sharded = \
+     %d shards, int_codec)\n"
+    (max 1 !congest_shards);
   let scaling =
     List.concat_map
       (fun n ->

@@ -83,14 +83,15 @@ val step :
     fast-forwarded without iterating anything. *)
 type schedule = Every_round | Event_driven
 
-(** Bit-packed message encoding for the sharded loop. [pack m] either
-    returns a {e non-negative} int — the message rides in the arena's
-    payload word, no allocation — or any negative int as an escape, in
-    which case the message is boxed in a per-shard wide-message spill
-    array and the payload word stores the spill index. [unpack] must be a
-    left inverse of [pack] on the non-negative range ([unpack (pack m) =
-    m] whenever [pack m >= 0]); it is never called for escaped messages.
-    Both functions run on worker domains and must be pure. *)
+(** Bit-packed message encoding for the event loop's inbox arenas.
+    [pack m] either returns a {e non-negative} int — the message rides in
+    the arena's payload word, no allocation — or any negative int as an
+    escape, in which case the message is boxed in a per-shard
+    wide-message spill array and the payload word stores the spill index.
+    [unpack] must be a left inverse of [pack] on the non-negative range
+    ([unpack (pack m) = m] whenever [pack m >= 0]); it is never called for
+    escaped messages. Both functions run on worker domains and must be
+    pure. *)
 type 'msg codec = { pack : 'msg -> int; unpack : int -> 'msg }
 
 (** The identity codec for [int] messages: every non-negative message is
@@ -104,7 +105,11 @@ val boxed_codec : unit -> 'msg codec
 
 (** How {!run} executes the simulation.
 
-    [Single] (the default) runs the sequential loop on the calling domain.
+    There is one event loop; [exec] only picks how many shards it runs
+    and where.
+
+    [Single] (the default) is one shard on the calling domain: no worker
+    domain and no barrier.
 
     [Sharded { shards; pool }] partitions the vertices into [shards]
     contiguous CSR-aligned ranges (vertex [v] lives in shard [v / chunk]
@@ -112,10 +117,10 @@ val boxed_codec : unit -> 'msg codec
     [pool]'s domains, one barrier per round, while all cross-shard
     delivery — bandwidth accounting, congestion checks, fault draws —
     happens sequentially on the calling domain between barriers, in the
-    exact sender-ascending order of the sequential loops. Results (final
+    exact sender-ascending order of {!run_reference}. Results (final
     states and {!stats}) are identical to [Single] at every shard and
     jobs count, including fixed-seed fault outcomes. [shards] is clamped
-    to at least 1; [shards = 1] still exercises the sharded loop.
+    to at least 1.
 
     Under [Sharded], the user's [init], [round], [msg_bits] and codec
     functions execute on worker domains: they must be domain-safe pure
@@ -173,10 +178,10 @@ val pp_stats : Format.formatter -> stats -> unit
     vertices were skipped, so fixed-seed fault outcomes are identical
     across schedules for contract-honoring algorithms.
 
-    [?exec] selects sequential or sharded execution (default {!Single});
-    see {!exec}. [?codec] supplies the bit-packed message encoding used by
-    the sharded loop's arenas (default [boxed_codec ()]); it is ignored
-    under [Single].
+    [?exec] selects one shard on the calling domain or several on a pool
+    (default {!Single}); see {!exec}. [?codec] supplies the bit-packed
+    message encoding used by the inbox arenas under either [exec]
+    (default [boxed_codec ()]).
 
     @raise Congestion_violation when a CONGEST budget is exceeded.
     @raise Invalid_argument if a vertex sends to a non-neighbor, or
@@ -198,8 +203,8 @@ val run :
     baseline: it steps every non-halted, non-crashed vertex every round,
     re-sorts each inbox, and ignores [wake_after]. [run] must be
     stats-identical to it (the equivalence suite in [test/] pins this); it
-    is also the slow side of the [congest-bench] comparison. Not for
-    production use. *)
+    is also the [reference] side that [congest-bench] times {!run}
+    against. Not for production use. *)
 val run_reference :
   ?faults:Faults.t ->
   Sparse_graph.Graph.t ->

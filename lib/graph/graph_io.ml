@@ -40,10 +40,18 @@ let of_string s =
                  "Graph_io.of_string: expected %d edge lines, got %d" m
                  (List.length rest));
           let parsed = List.map ints rest in
+          let endpoint x =
+            if x < 0 || x >= n then
+              failwith
+                (Printf.sprintf
+                   "Graph_io.of_string: endpoint %d out of range for n = %d" x
+                   n);
+            x
+          in
           let edges =
             List.map
               (function
-                | [ u; v ] | [ u; v; _ ] -> (u, v)
+                | [ u; v ] | [ u; v; _ ] -> (endpoint u, endpoint v)
                 | _ -> failwith "Graph_io.of_string: bad edge line")
               parsed
           in

@@ -10,7 +10,8 @@ val to_string : ?weights:Weights.t -> Graph.t -> string
 
 (** [of_string s] parses; returns the graph and the weights if every edge
     line carried one.
-    @raise Failure on malformed input. *)
+    @raise Failure on malformed input, including a negative header and an
+    edge endpoint outside [0 .. n-1]. *)
 val of_string : string -> Graph.t * Weights.t option
 
 (** [save ?weights g ~path] / [load ~path] wrap the string codecs with file

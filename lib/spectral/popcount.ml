@@ -1,14 +1,10 @@
-let table =
-  lazy
-    (let t = Array.make 65536 0 in
-     for i = 1 to 65535 do
-       t.(i) <- t.(i lsr 1) + (i land 1)
-     done;
-     t)
-
+(* SWAR bit count: per 2-bit field, then 4-bit, then byte sums, and the
+   multiply adds the bytes into the top one. No table, so nothing is
+   shared between domains or kept alive on the heap. On 63-bit ints the
+   top field of each step is short, but the count it holds still fits. *)
 let popcount x =
-  let t = Lazy.force table in
-  let rec go x acc =
-    if x = 0 then acc else go (x lsr 16) (acc + t.(x land 0xffff))
-  in
-  go x 0
+  let m2 = 0x3333_3333_3333_3333 in
+  let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
+  let x = (x land m2) + ((x lsr 2) land m2) in
+  let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+  (x * 0x0101_0101_0101_0101) lsr 56

@@ -116,19 +116,35 @@ let test_blob_chain_structure () =
       ignore (Generators.blob_chain ~blobs:0 ~blob_size:5 ~seed:0))
 
 (* ------------------------------------------------------------------ *)
-(* Graph_io header validation                                          *)
+(* Graph_io input validation                                           *)
 (* ------------------------------------------------------------------ *)
 
-let test_graph_io_negative_header () =
+let check_of_string_failures cases =
   List.iter
     (fun (input, msg) ->
       Alcotest.check_raises input (Failure msg) (fun () ->
           ignore (Graph_io.of_string input)))
+    cases
+
+let test_graph_io_negative_header () =
+  check_of_string_failures
     [
       ("-1 0\n", "Graph_io.of_string: negative header \"-1 0\"");
       ("3 -1\n", "Graph_io.of_string: negative header \"3 -1\"");
       ("-2 1\n0 1\n", "Graph_io.of_string: negative header \"-2 1\"");
     ]
+
+let test_graph_io_endpoint_range () =
+  check_of_string_failures
+    [
+      ("3 1\n0 3\n", "Graph_io.of_string: endpoint 3 out of range for n = 3");
+      ("3 1\n-1 2\n", "Graph_io.of_string: endpoint -1 out of range for n = 3");
+      ("3 2\n0 1\n7 1 5\n",
+       "Graph_io.of_string: endpoint 7 out of range for n = 3");
+      ("0 1\n0 0\n", "Graph_io.of_string: endpoint 0 out of range for n = 0");
+    ];
+  let g, _ = Graph_io.of_string "3 1\n0 2\n" in
+  Alcotest.(check int) "edge to n - 1 kept" 1 (Graph.m g)
 
 (* ------------------------------------------------------------------ *)
 (* Weighted matching reconstruction (qcheck)                           *)
@@ -266,6 +282,10 @@ let () =
       ("cluster_view", [ tc "accessors" test_cluster_view_accessors ]);
       ("preprocess", [ tc "mapping integrity" test_preprocess_mapping_integrity ]);
       ("blob_chain", [ tc "structure" test_blob_chain_structure ]);
-      ("graph_io", [ tc "negative header" test_graph_io_negative_header ]);
+      ( "graph_io",
+        [
+          tc "negative header" test_graph_io_negative_header;
+          tc "endpoint out of range" test_graph_io_endpoint_range;
+        ] );
       ("qcheck", qcheck_cases);
     ]

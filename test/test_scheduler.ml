@@ -521,9 +521,9 @@ let test_fast_forwarded_wake_traffic () =
 (* ------------------------------------------------------------------ *)
 
 (* burst-then-trickle-then-quiescent: round 1 floods the star center
-   (growing its flat inbox past the 64-slot shrink threshold), then a
-   single leaf trickles one message per round. The high-watermark shrink
-   must return the footprint to near-baseline — pinned through the
+   (growing its shard's inbox arena past the 64-slot shrink threshold),
+   then a single leaf trickles one message per round. The high-watermark
+   shrink must return the footprint to near-baseline — pinned through the
    net.inbox_*_words meters. *)
 let inbox_shrink_harness exec =
   let leaves = 100 in
@@ -558,17 +558,19 @@ let inbox_shrink_harness exec =
        max_of Obs.Meter.k_inbox_final_words)
 
 let test_inbox_shrinks_after_burst () =
-  let peak, final = inbox_shrink_harness None in
-  (* the burst put >= 100 two-word slots in the center's inbox *)
-  checkb "peak reflects the burst" true (peak >= 200);
-  checkb "footprint returned to baseline" true (final <= 64);
-  let peak, final =
-    inbox_shrink_harness
-      (Some (Network.Sharded { shards = 4; pool = shard_pool 4 }))
-  in
-  (* arena slots are three words plus the wide spill *)
-  checkb "sharded peak reflects the burst" true (peak >= 300);
-  checkb "sharded arena shrank" true (final <= peak / 2)
+  List.iter
+    (fun (label, exec) ->
+      let peak, final = inbox_shrink_harness exec in
+      let holds what = checkb (Printf.sprintf "%s: %s" label what) true in
+      (* the burst put >= 100 three-word arena slots in the center's shard *)
+      holds "peak reflects the burst" (peak >= 300);
+      holds "arena shrank" (final <= peak / 2);
+      (* one minimum arena: 64 slots of three words *)
+      holds "footprint back to one minimum arena" (final <= 192))
+    [
+      ("default", None);
+      ("4 shards", Some (Network.Sharded { shards = 4; pool = shard_pool 4 }));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* qcheck equivalence properties                                       *)

@@ -6,6 +6,48 @@ let checkf msg ~eps expected got =
   Alcotest.(check (float eps)) msg expected got
 
 (* ------------------------------------------------------------------ *)
+(* Popcount                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let bit_loop_count x =
+  let c = ref 0 and x = ref x in
+  while !x <> 0 do
+    c := !c + (!x land 1);
+    x := !x lsr 1
+  done;
+  !c
+
+(* two domains call popcount at once, before anything else in this
+   executable touches it; each checks its own inputs against a bit loop *)
+let test_popcount_two_domains () =
+  let ready = Atomic.make 0 in
+  let worker seed () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let rng = Random.State.make [| seed |] in
+    let ok = ref true in
+    for _ = 1 to 20_000 do
+      let x =
+        Random.State.bits rng
+        lor (Random.State.bits rng lsl 30)
+        lor (Random.State.bits rng lsl 60)
+        land max_int
+      in
+      if Popcount.popcount x <> bit_loop_count x then ok := false
+    done;
+    List.iter
+      (fun x -> if Popcount.popcount x <> bit_loop_count x then ok := false)
+      [ 0; 1; 0xffff; 0x10000; max_int ];
+    !ok
+  in
+  let d1 = Domain.spawn (worker 1) and d2 = Domain.spawn (worker 2) in
+  let ok1 = Domain.join d1 and ok2 = Domain.join d2 in
+  checkb "domain 1 counts match the bit loop" true ok1;
+  checkb "domain 2 counts match the bit loop" true ok2
+
+(* ------------------------------------------------------------------ *)
 (* Conductance                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -516,6 +558,8 @@ let () =
   let tc name f = Alcotest.test_case name `Quick f in
   Alcotest.run "spectral"
     [
+      ( "popcount",
+        [ tc "two domains at once" test_popcount_two_domains ] );
       ( "conductance",
         [
           tc "volume and boundary" test_volume_boundary;
