@@ -251,9 +251,11 @@ let run_reference ?(faults = Faults.none) g ~bandwidth ~msg_bits ~init ~round
 (* ------------------------------------------------------------------ *)
 
 (* in-place ascending quicksort of a.(0 .. len-1); entries are distinct
-   vertex ids, so partitioning details cannot affect the result *)
+   vertex ids, so partitioning details cannot affect the result. Typed
+   [int array] so every comparison is an immediate one, not a call to
+   the polymorphic compare. *)
 (* lint: hot *)
-let sort_prefix a len =
+let sort_prefix (a : int array) len =
   let swap i j =
     let t = a.(i) in
     a.(i) <- a.(j);
@@ -360,9 +362,12 @@ type 'msg shard = {
   mutable sh_ob_len : int;
   mutable sh_ob_wide : 'msg array;
   mutable sh_ob_wide_len : int;
-  (* shard-local wake machinery (the pending-wake rounds themselves live
-     in the global wake_at array so the coordinator can cancel on crash) *)
-  sh_wake_buckets : (int, int list ref) Hashtbl.t;
+  (* shard-local pending wakes of two or more rounds: a min-heap of
+     packed (round, vertex) keys, [(round lsl vbits) lor v]. The request
+     itself lives in the global wake_at array, so the coordinator can
+     cancel it on crash; a key whose round no longer matches wake_at.(v)
+     is stale and is dropped when popped. A one-round wake skips the
+     heap and goes straight onto the next worklist. *)
   mutable sh_heap : int array;
   mutable sh_heap_len : int;
   (* per-round outputs, read by the coordinator after the barrier *)
@@ -393,8 +398,10 @@ let sh_heap_push sh x =
     i := p
   done
 
+(* round of the earliest pending key, or max_int *)
 (* lint: hot *)
-let sh_heap_min sh = if sh.sh_heap_len = 0 then max_int else sh.sh_heap.(0)
+let sh_heap_min_round sh vbits =
+  if sh.sh_heap_len = 0 then max_int else sh.sh_heap.(0) lsr vbits
 
 (* lint: hot *)
 let sh_heap_pop sh =
@@ -458,6 +465,15 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
   let inlists : (int * 'msg) list array = Array.make n [] in
   let wake_at = Array.make n 0 in
   let sched = Array.make n (-1) in
+  (* packed wake keys hold the vertex in the low [vbits] bits; a round
+     must fit in the rest *)
+  let vbits = Bits.ceil_log2 n in
+  let vmask = (1 lsl vbits) - 1 in
+  if event && max_rounds > max_int lsr vbits then
+    invalid_arg
+      (Printf.sprintf
+         "Network.run: max_rounds %d exceeds the event loop's round range %d"
+         max_rounds (max_int lsr vbits));
   let shard_tbl =
     Array.init nshards (fun s ->
         let lo = s * chunk in
@@ -483,7 +499,6 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
           sh_ob_len = 0;
           sh_ob_wide = [||];
           sh_ob_wide_len = 0;
-          sh_wake_buckets = Hashtbl.create 32;
           sh_heap = Array.make 16 0;
           sh_heap_len = 0;
           sh_stepped = 0;
@@ -537,13 +552,10 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
       sh.sh_nxt_len <- sh.sh_nxt_len + 1
     end
   in
+  (* lint: hot *)
   let set_wake sh v t =
     wake_at.(v) <- t;
-    match Hashtbl.find_opt sh.sh_wake_buckets t with
-    | Some entries -> entries := v :: !entries
-    | None ->
-        Hashtbl.add sh.sh_wake_buckets t (ref [ v ]);
-        sh_heap_push sh t
+    sh_heap_push sh ((t lsl vbits) lor v)
   in
   (* coordinator side: append one delivery to the destination shard's arena *)
   (* lint: hot *)
@@ -630,18 +642,17 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
   (* one shard's slice of a round, executed inside the Team barrier *)
   let step_shard r sh =
     if event then begin
-      (match Hashtbl.find_opt sh.sh_wake_buckets r with
-      | Some entries ->
-          List.iter
-            (fun v ->
-              if wake_at.(v) = r then begin
-                wake_at.(v) <- 0;
-                if (not halted.(v)) && not crashed.(v) then push_cur sh r v
-              end)
-            !entries;
-          Hashtbl.remove sh.sh_wake_buckets r
-      | None -> ());
-      if sh_heap_min sh = r then sh_heap_pop sh;
+      (* due wakes join the worklist; stale keys (re-aimed or cancelled
+         requests) are dropped *)
+      while sh_heap_min_round sh vbits <= r do
+        let key = sh.sh_heap.(0) in
+        sh_heap_pop sh;
+        let v = key land vmask in
+        if wake_at.(v) = key lsr vbits then begin
+          wake_at.(v) <- 0;
+          if (not halted.(v)) && not crashed.(v) then push_cur sh r v
+        end
+      done;
       sort_prefix sh.sh_cur sh.sh_cur_len
     end;
     (* rebuild per-vertex inboxes from the arena: walking backward while
@@ -705,8 +716,17 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
                    "Network.run: vertex %d requested wake_after %d (must be \
                     >= 1)"
                    v d);
-            if d <= max_rounds - r then set_wake sh v (r + d)
-            else if wake_at.(v) > 0 then wake_at.(v) <- 0
+            if d > max_rounds - r then begin
+              if wake_at.(v) > 0 then wake_at.(v) <- 0
+            end
+            else if d = 1 then begin
+              (* the common request — every walking vertex makes it every
+                 round — replaces any longer pending wake and goes
+                 straight onto the next worklist *)
+              if wake_at.(v) > 0 then wake_at.(v) <- 0;
+              push_nxt sh (r + 1) v
+            end
+            else set_wake sh v (r + d)
         | None -> if wake_at.(v) > 0 then wake_at.(v) <- 0
     in
     if event then begin
@@ -865,7 +885,7 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
         if not !busy then begin
           let wake_min = ref max_int in
           for s = 0 to nshards - 1 do
-            let m = sh_heap_min shard_tbl.(s) in
+            let m = sh_heap_min_round shard_tbl.(s) vbits in
             if m < !wake_min then wake_min := m
           done;
           let cand = min !wake_min (next_fault_round r) in

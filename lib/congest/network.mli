@@ -48,7 +48,12 @@ type ctx = {
     ignored otherwise): [Some d] (with [d >= 1]) asks to be stepped again
     in round [r + d] even if no message arrives; [None] sleeps until the
     next incoming message. Each step replaces the previous request, and
-    halting cancels it. *)
+    halting cancels it. [Some 1], the request of a vertex that works
+    every round, costs no more than a message arrival: the vertex goes
+    straight onto the next round's worklist. Longer requests wait in a
+    per-shard int heap of packed (round, vertex) keys; a replaced or
+    cancelled request leaves a stale key there that is dropped when it
+    comes due. *)
 type ('state, 'msg) step = {
   state : 'state;
   send : (int * 'msg) list;
@@ -73,7 +78,9 @@ val step :
 
     [Event_driven] steps a vertex in round [r] only if it received a
     message in round [r - 1], just recovered from a crash, or requested a
-    wake-up via [wake_after] (round 1 steps everyone). An algorithm is
+    wake-up via [wake_after] (round 1 steps everyone). Each shard keeps
+    these vertices on an int worklist, deduplicated by a per-vertex round
+    stamp and sorted in place before the round steps it. An algorithm is
     eligible for this mode only if it honors the {e wake-up contract}: a
     round call with an empty inbox outside the vertex's own wake-up
     requests must be a no-op — it sends nothing, does not halt, and any
@@ -95,7 +102,8 @@ type schedule = Every_round | Event_driven
 type 'msg codec = { pack : 'msg -> int; unpack : int -> 'msg }
 
 (** The identity codec for [int] messages: every non-negative message is
-    packed immediate; negative ints fall back to the boxed spill. *)
+    packed immediate; negative ints fall back to the boxed spill. Walk
+    routing's packed tokens travel this way, so they never spill. *)
 val int_codec : int codec
 
 (** [boxed_codec ()] never packs: every message goes through the boxed
@@ -185,7 +193,9 @@ val pp_stats : Format.formatter -> stats -> unit
 
     @raise Congestion_violation when a CONGEST budget is exceeded.
     @raise Invalid_argument if a vertex sends to a non-neighbor, or
-    requests [wake_after] < 1. *)
+    requests [wake_after] < 1, or if under [Event_driven] [max_rounds]
+    exceeds [max_int lsr Bits.ceil_log2 n] (a wake key packs the round
+    above the vertex id). *)
 val run :
   ?faults:Faults.t ->
   ?schedule:schedule ->

@@ -22,8 +22,8 @@ let run (view : Cluster_view.t) ~leader_of ~density ~walk_len ~seed ~max_rounds 
         let other = if o = u then v else u in
         out_edges.(o) <- (e, other) :: out_edges.(o)
       end);
-  let out_edges = Array.map List.rev out_edges in
-  let tokens_of v = List.length out_edges.(v) in
+  let out_edges = Array.map (fun es -> Array.of_list (List.rev es)) out_edges in
+  let tokens_of v = Array.length out_edges.(v) in
   let routing =
     Walk_routing.run view ~leader_of ~tokens_of ~walk_len ~seed ~max_rounds
   in
@@ -33,7 +33,7 @@ let run (view : Cluster_view.t) ~leader_of ~density ~walk_len ~seed ~max_rounds 
         let edges =
           List.map
             (fun (t : Walk_routing.token) ->
-              let _, other = List.nth out_edges.(t.origin) t.seq in
+              let _, other = out_edges.(t.origin).(t.seq) in
               (min t.origin other, max t.origin other))
             toks
         in

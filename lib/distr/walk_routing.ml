@@ -14,49 +14,76 @@ type result = {
   stats : Network.stats;
 }
 
-(* a token in flight, held by some vertex; steps is mutated in place so
-   the hot advance loop allocates nothing *)
-type flight = {
-  tok : token;
-  mutable steps : int;  (* lazy steps taken so far *)
+(* Tokens travel as single immediate ints through the simulator's int
+   codec: [id * base + steps], where [id] numbers the tokens origin by
+   origin (prefix sums of [tokens_of]) and [steps] is the number of lazy
+   steps taken so far, [0 <= steps < base = walk_len + 1]. A step is
+   [tok + 1]; ids are decoded back to {origin; seq} only when the result
+   is built. *)
+
+(* a growable FIFO of ints on a power-of-two ring; starts empty and
+   doubles, so an idle vertex holds no buffer *)
+type ring = {
+  mutable buf : int array;
+  mutable head : int;
+  mutable len : int;
 }
 
-(* Per-vertex state. [active] holds tokens that walk this round, oldest
-   first; receiving is Queue.add per incoming token, O(|incoming|) — the
-   old list-append merge re-walked the whole queue every round, O(q^2)
-   total on a hot-spot vertex. [waiting.(j)] parks tokens that sampled a
-   move to neighbor slot j (index into the cached intra row) until edge
-   capacity lets them transmit; the array replaces the per-round
-   [Hashtbl.create 4] send counter and is allocated once at init. *)
+let ring () = { buf = [||]; head = 0; len = 0 }
+
+(* lint: hot *)
+let ring_push q x =
+  let cap = Array.length q.buf in
+  if q.len = cap then begin
+    let cap' = if cap = 0 then 8 else 2 * cap in
+    (* lint: allow A001 amortized doubling growth *)
+    let b = Array.make cap' 0 in
+    for i = 0 to q.len - 1 do
+      b.(i) <- q.buf.((q.head + i) land (cap - 1))
+    done;
+    q.buf <- b;
+    q.head <- 0
+  end;
+  q.buf.((q.head + q.len) land (Array.length q.buf - 1)) <- x;
+  q.len <- q.len + 1
+
+(* lint: hot *)
+let ring_pop q =
+  let x = q.buf.(q.head) in
+  q.head <- (q.head + 1) land (Array.length q.buf - 1);
+  q.len <- q.len - 1;
+  x
+
+(* Per-vertex state. [active] holds the tokens that walk this round,
+   oldest first. [waiting.(j)] parks tokens that sampled a move to
+   neighbor slot j (index into the cached intra row) until edge capacity
+   lets them transmit. *)
 type state = {
   rng : Random.State.t;
-  active : flight Queue.t;
-  waiting : flight Queue.t array;
-  mutable absorbed_rev : token list;  (* newest first; reversed on extract *)
-  mutable expired : int;              (* walk budget exhausted here *)
-  mutable holding : int;              (* tokens in [active] + [waiting] *)
+  active : ring;
+  waiting : ring array;
+  mutable absorbed_rev : int list;  (* token ids, newest first *)
+  mutable expired : int;            (* walk budget exhausted here *)
+  mutable holding : int;            (* tokens in [active] + [waiting] *)
 }
 
 let token_words = 3 (* origin, seq, step counter *)
 
 (* one walk step for every token currently active: pop, expire or sample
    (stay -> back of [active], move -> the sampled neighbor's waiting
-   queue). Processes exactly [Queue.length active] tokens, so re-queued
+   ring). Processes exactly the tokens active on entry, so re-queued
    stays are not double-stepped. Returns the number expired. *)
 (* lint: hot *)
-let advance_active st row walk_len =
+let advance_active st (row : int array) ~base ~walk_len =
   let deg = Array.length row in
   let expired = ref 0 in
-  let remaining = ref (Queue.length st.active) in
-  while !remaining > 0 do
-    decr remaining;
-    let fl = Queue.pop st.active in
-    if fl.steps >= walk_len then incr expired
+  for _ = 1 to st.active.len do
+    let tok = ring_pop st.active in
+    if tok mod base >= walk_len then incr expired
     else begin
-      fl.steps <- fl.steps + 1;
       let stay = deg = 0 || Random.State.bool st.rng in
-      if stay then Queue.add fl st.active
-      else Queue.add fl st.waiting.(Random.State.int st.rng deg)
+      if stay then ring_push st.active (tok + 1)
+      else ring_push st.waiting.(Random.State.int st.rng deg) (tok + 1)
     end
   done;
   !expired
@@ -74,34 +101,42 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
   in
   let token_bits = Bits.words n token_words in
   let capacity = max 1 (budget / token_bits) in
-  let total = ref 0 in
+  (* first.(v) = id of v's token 0; first.(n) = total *)
+  let first = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    total := !total + tokens_of v
+    first.(v + 1) <- first.(v) + tokens_of v
   done;
-  let total = !total in
+  let total = first.(n) in
+  (* a token never takes more than [max 0 walk_len] steps *)
+  let base = max 1 (walk_len + 1) in
+  if total > max_int / base then
+    invalid_arg
+      (Printf.sprintf
+         "Walk_routing.run: %d tokens of walk length %d overflow a packed int"
+         total walk_len);
   let init (ctx : Network.ctx) =
-    let rng = Random.State.make [| seed; ctx.id; 7919 |] in
-    let deg = Array.length intra.(ctx.id) in
+    let v = ctx.id in
+    let rng = Random.State.make [| seed; v; 7919 |] in
+    let deg = Array.length intra.(v) in
     let st =
       {
         rng;
-        active = Queue.create ();
-        waiting = Array.init deg (fun _ -> Queue.create ());
+        active = ring ();
+        waiting = Array.init deg (fun _ -> ring ());
         absorbed_rev = [];
         expired = 0;
         holding = 0;
       }
     in
-    let k = tokens_of ctx.id in
-    if leader_of.(ctx.id) = ctx.id then
+    if leader_of.(v) = v then
       (* the leader's own tokens are already delivered; prepended in
          ascending seq so the final reversal lists them in seq order *)
-      for seq = 0 to k - 1 do
-        st.absorbed_rev <- { origin = ctx.id; seq } :: st.absorbed_rev
+      for id = first.(v) to first.(v + 1) - 1 do
+        st.absorbed_rev <- id :: st.absorbed_rev
       done
     else
-      for seq = 0 to k - 1 do
-        Queue.add { tok = { origin = ctx.id; seq }; steps = 0 } st.active;
+      for id = first.(v) to first.(v + 1) - 1 do
+        ring_push st.active (id * base);
         st.holding <- st.holding + 1
       done;
     st
@@ -111,28 +146,29 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
     (* receive tokens in inbox (sender-ascending) order; leader absorbs *)
     if leader_of.(v) = v then
       List.iter
-        (fun (_, fl) -> st.absorbed_rev <- fl.tok :: st.absorbed_rev)
+        (fun (_, tok) -> st.absorbed_rev <- (tok / base) :: st.absorbed_rev)
         inbox
     else
       List.iter
-        (fun (_, fl) ->
-          Queue.add fl st.active;
+        (fun (_, tok) ->
+          ring_push st.active tok;
           st.holding <- st.holding + 1)
         inbox;
     (* advance each active token by one sampled lazy step *)
-    let expired = advance_active st intra.(v) walk_len in
+    let row = intra.(v) in
+    let expired = advance_active st row ~base ~walk_len in
     st.expired <- st.expired + expired;
     st.holding <- st.holding - expired;
     (* transmit waiting tokens, at most [capacity] per neighbor per round;
        the send list itself is the simulator's API boundary and the only
-       per-round allocation left. Built by descending slot so the list
-       comes out ascending. *)
+       per-round allocation left. Built by descending slot so the slots
+       come out ascending. *)
     let send = ref [] in
-    for j = Array.length intra.(v) - 1 downto 0 do
+    for j = Array.length row - 1 downto 0 do
       let q = st.waiting.(j) in
-      let k = min capacity (Queue.length q) in
+      let k = min capacity q.len in
       for _ = 1 to k do
-        send := (intra.(v).(j), Queue.pop q) :: !send
+        send := (row.(j), ring_pop q) :: !send
       done;
       st.holding <- st.holding - k
     done;
@@ -144,9 +180,20 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
   in
   let states, stats =
     Network.run ?exec ?faults g ~schedule:Network.Event_driven
+      ~codec:Network.int_codec
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> token_bits)
       ~init ~round ~max_rounds
+  in
+  (* the origin of token [id] is the last vertex whose first id is at
+     most [id] (vertices without tokens share their successor's) *)
+  let decode id =
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi + 1) / 2 in
+      if first.(mid) <= id then lo := mid else hi := mid - 1
+    done;
+    { origin = !lo; seq = id - first.(!lo) }
   in
   let delivered = ref [] in
   let got = ref 0 in
@@ -155,7 +202,7 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
   Array.iteri
     (fun v st ->
       if st.absorbed_rev <> [] then begin
-        let toks = List.rev st.absorbed_rev in
+        let toks = List.rev_map decode st.absorbed_rev in
         got := !got + List.length toks;
         delivered := (v, toks) :: !delivered
       end;

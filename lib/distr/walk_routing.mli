@@ -12,7 +12,16 @@
     The simulator enforces the CONGEST budget directly: a vertex forwards at
     most [capacity] tokens per edge per round (capacity = bandwidth /
     token size); excess tokens retry on later rounds (their sampled step is
-    kept, so the walk distribution is unchanged, only delayed). *)
+    kept, so the walk distribution is unchanged, only delayed).
+
+    In the simulator a token is one immediate int,
+    [id * (walk_len + 1) + steps]: [id] numbers the tokens origin by
+    origin (prefix sums of [tokens_of], so it encodes {!token}'s origin
+    and seq) and [steps] counts the lazy steps taken. Tokens ride
+    {!Congest.Network.int_codec} and wait in per-vertex int ring
+    buffers; they are decoded to {!token} records only when the
+    {!result} is built. The message is still charged three ids of bits
+    (origin, seq, step counter). *)
 
 type token = {
   origin : int;  (** vertex that created the token *)
@@ -38,7 +47,10 @@ type result = {
     ([leader_of.(v)], e.g. from {!Leader_election}). A token is dropped once
     it has taken [walk_len] lazy steps without reaching the leader
     (experiment E9 sweeps this budget); the run ends when no token is in
-    flight or at [max_rounds]. *)
+    flight or at [max_rounds].
+
+    @raise Invalid_argument if the total token count times
+    [walk_len + 1] overflows an int. *)
 val run :
   ?exec:Congest.Network.exec ->
   ?faults:Congest.Faults.t ->

@@ -54,7 +54,7 @@ let flight_codec : int array Network.codec =
 
 (* index of [w] in the sorted CSR row [row], by binary search *)
 (* lint: hot *)
-let slot_of row w =
+let slot_of (row : int array) w =
   let lo = ref 0 and hi = ref (Array.length row - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

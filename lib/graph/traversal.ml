@@ -189,7 +189,7 @@ let diameter_counted g =
 
 let diameter g = fst (diameter_counted g)
 
-let argmax_dist dist =
+let argmax_dist (dist : int array) =
   let best = ref 0 in
   Array.iteri (fun v d -> if d > dist.(!best) then best := v) dist;
   !best

@@ -300,6 +300,100 @@ let test_tree_routing_clustered () =
         toks)
     r.delivered
 
+(* Pinned walk routing on the repo benchmark's framework graph: the
+   16-blob chain's cluster view under the MIS epsilon, the leaders
+   (central election rule) and one token per owned edge of the
+   orientation, as Gather.run routes them. Delivered lists are pinned by
+   an MD5 of their text; every value below was recorded from the
+   flight-record walk router with Queue-based token lists, before tokens
+   became packed ints. [Single] and two shards must give the same
+   result. *)
+let blob_walk_fixture =
+  lazy
+    (let g = Generators.blob_chain ~blobs:16 ~blob_size:32 ~seed:20220711 in
+     let density = max 1. (Graph.edge_density g) in
+     let epsilon = min 0.999 (max 1e-6 (0.5 /. ((2. *. density) +. 1.))) in
+     let p =
+       Core.Pipeline.prepare ~mode:Core.Pipeline.Charged g ~epsilon ~seed:0
+     in
+     let view = p.Core.Pipeline.view in
+     let o = Orientation.run view ~density () in
+     let tokens = Array.make (Graph.n g) 0 in
+     Array.iter (fun v -> if v >= 0 then tokens.(v) <- tokens.(v) + 1) o.owner;
+     (view, p.leader_of, tokens))
+
+let walk_digest (r : Walk_routing.result) =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (leader, toks) ->
+      Buffer.add_string b (string_of_int leader);
+      Buffer.add_char b ':';
+      List.iter
+        (fun (t : Walk_routing.token) ->
+          Buffer.add_string b (string_of_int t.origin);
+          Buffer.add_char b '.';
+          Buffer.add_string b (string_of_int t.seq);
+          Buffer.add_char b ',')
+        toks;
+      Buffer.add_char b ';')
+    r.delivered;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (walk_len, seed, delivered digest, undelivered, expired, held, rounds,
+   messages, total_bits, last_traffic_round) *)
+let pinned_walks =
+  [
+    (2304, 1, "d23cde5da8964c15be0901e4e7497f68", 13, 13, 0, 92160, 230034, 6210918, 2308);
+    (2304, 2, "e5cf58a2c8f6bb88a22bd14c4a07579a", 20, 20, 0, 92160, 239341, 6462207, 2308);
+    (2304, 3, "67569ca3b1a6eff80a0297f2198ecc18", 11, 11, 0, 92160, 220232, 5946264, 2308);
+    (4608, 1, "7db543c1c5179865c20ac7dae52dc48f", 0, 0, 0, 184320, 234600, 6334200, 3722);
+    (4608, 2, "b73be36fa6226be004dbcedb2d7f4bc7", 0, 0, 0, 184320, 245721, 6634467, 4456);
+    (4608, 3, "c76e578dfd4f4e16763f768ed4c4dafa", 0, 0, 0, 184320, 223687, 6039549, 3814);
+  ]
+
+let pinned_walk_drop =
+  (2304, 1, "d1c1c363ce503324391361e504d0a987", 1088, 0, 0, 92160, 11053, 298431, 140)
+
+let test_walk_routing_pinned_blob () =
+  let view, leader_of, tokens = Lazy.force blob_walk_fixture in
+  let pool = Parallel.Pool.create ~jobs:2 () in
+  let run ?exec ?faults walk_len seed =
+    let r =
+      Walk_routing.run ?exec ?faults view ~leader_of
+        ~tokens_of:(fun v -> tokens.(v))
+        ~walk_len ~seed ~max_rounds:(walk_len * 40)
+    in
+    let s = r.stats in
+    ( walk_len, seed, walk_digest r, r.undelivered, r.expired, r.held,
+      s.rounds, s.messages, s.total_bits, s.last_traffic_round )
+  in
+  let pin =
+    Alcotest.testable
+      (fun ppf (wl, seed, d, u, e, h, r, m, b, l) ->
+        Format.fprintf ppf "(%d, %d, %S, %d, %d, %d, %d, %d, %d, %d)" wl seed
+          d u e h r m b l)
+      ( = )
+  in
+  List.iter
+    (fun ((wl, seed, _, _, _, _, _, _, _, _) as want) ->
+      Alcotest.check pin "single" want (run wl seed);
+      Alcotest.check pin "two shards" want
+        (run ~exec:(Congest.Network.Sharded { shards = 2; pool }) wl seed))
+    pinned_walks;
+  let wl, seed, _, _, _, _, _, _, _, _ = pinned_walk_drop in
+  Alcotest.check pin "drop rate 0.1" pinned_walk_drop
+    (run ~faults:(Congest.Faults.make ~drop_rate:0.1 ~seed:5 ()) wl seed)
+
+let test_walk_routing_id_overflow () =
+  let view = Cluster_view.whole (Generators.path 4) in
+  let leader_of = Array.make 4 0 in
+  match
+    Walk_routing.run view ~leader_of ~tokens_of:(fun _ -> 1 lsl 40)
+      ~walk_len:(1 lsl 30) ~seed:1 ~max_rounds:10
+  with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Diameter check (failure detection)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -633,6 +727,8 @@ let () =
         [
           tc "walk routing delivers" test_walk_routing_delivers;
           tc "walk budget too small" test_walk_routing_budget_too_small;
+          tc "walk routing pinned on blob chain" test_walk_routing_pinned_blob;
+          tc "walk token ids overflow" test_walk_routing_id_overflow;
           tc "gather whole graph" test_gather_complete_small;
           tc "gather per cluster" test_gather_clustered;
         ] );

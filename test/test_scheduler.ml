@@ -388,32 +388,39 @@ let test_every_round_ignores_wake_after () =
 (* ------------------------------------------------------------------ *)
 
 (* The contract under test: a crash cancels the vertex's pending wake;
-   only the recovery step re-arms it. Vertex 1 arms a wake for round 11
-   in round 1 and re-aims every later step at round 11, halting there;
-   vertex 0 halts immediately. The event log records every round in which
-   vertex 1 was stepped (only vertex 1 writes, and the step-phase barrier
-   orders the writes, so the log is race-free under the sharded loop). *)
-let wake_crash_harness ~crashes how =
+   only the recovery step re-arms it. In the default harness vertex 1
+   arms a wake for round 11 in round 1 and re-aims every later step at
+   round 11, halting there; vertex 0 stays alive until round 16. The
+   event log records every round in which vertex 1 was stepped (only
+   vertex 1 writes, and the step-phase barrier orders the writes, so the
+   log is race-free under the sharded loop). Stats must match
+   run_reference, which steps every live vertex every round. *)
+let keeper r _ =
+  (* stays alive past every outage so the network can wait for the
+     crashed vertex's recovery *)
+  if r >= 16 then Network.step () ~halt:true
+  else Network.step () ~wake_after:(16 - r)
+
+let armed_at_11 r _ =
+  if r >= 11 then Network.step () ~halt:true
+  else if r = 1 then Network.step () ~wake_after:10
+  else Network.step () ~wake_after:(11 - r)
+
+let wake_crash_harness ?(v0 = keeper) ?(v1 = armed_at_11) ~crashes how =
   let g = Generators.path 2 in
   let log = ref [] in
-  let round r (ctx : Network.ctx) () _ =
-    if ctx.id = 0 then
-      (* stays alive past every outage so the network can wait for the
-         crashed vertex's recovery *)
-      if r >= 16 then Network.step () ~halt:true
-      else Network.step () ~wake_after:(16 - r)
+  let round r (ctx : Network.ctx) () inbox =
+    if ctx.id = 0 then v0 r inbox
     else begin
       log := r :: !log;
-      if r >= 11 then Network.step () ~halt:true
-      else if r = 1 then Network.step () ~wake_after:10
-      else Network.step () ~wake_after:(11 - r)
+      v1 r inbox
     end
   in
   let faults = Faults.make ~crashes ~seed:21 () in
   let run schedule exec =
     log := [];
     let _, st =
-      Network.run g ~faults ~schedule ?exec ~codec:Network.int_codec
+      Network.run g ~faults ~schedule ~exec ~codec:Network.int_codec
         ~bandwidth:Network.Local
         ~msg_bits:(fun _ -> 1)
         ~init:(fun _ -> ())
@@ -429,9 +436,8 @@ let wake_crash_harness ~crashes how =
   in
   let exec =
     match how with
-    | `Event -> None
-    | `Sharded ->
-        Some (Network.Sharded { shards = 2; pool = shard_pool 4 })
+    | `Single -> Network.Single
+    | `Sharded -> Network.Sharded { shards = 2; pool = shard_pool 4 }
   in
   let st, steps = run Network.Event_driven exec in
   Alcotest.check stats "stats match reference" ref_stats st;
@@ -449,7 +455,7 @@ let test_crash_before_wake () =
       Alcotest.(check (list int))
         "stepped at 1 and recovery only" [ 1; 15 ]
         (wake_crash_harness ~crashes how))
-    [ `Event; `Sharded ]
+    [ `Single; `Sharded ]
 
 let test_recover_before_wake () =
   (* recovery lands before the armed round: the recovery step re-arms the
@@ -462,7 +468,7 @@ let test_recover_before_wake () =
       Alcotest.(check (list int))
         "one wake after re-arm" [ 1; 3; 11 ]
         (wake_crash_harness ~crashes how))
-    [ `Event; `Sharded ]
+    [ `Single; `Sharded ]
 
 let test_crash_recover_crash () =
   (* two outages before the armed round: each crash cancels, each
@@ -478,7 +484,62 @@ let test_crash_recover_crash () =
       Alcotest.(check (list int))
         "wake survives the crash/recover chain" [ 1; 4; 9; 11 ]
         (wake_crash_harness ~crashes how))
-    [ `Event; `Sharded ]
+    [ `Single; `Sharded ]
+
+(* One-round wakes skip the wake heap and go straight onto the next
+   worklist; these pin that they still obey the same contract. *)
+
+let test_wake_one_overrides_longer_wake () =
+  (* vertex 1 arms round 11, then a message in round 4 makes it ask for
+     round 5 and sleep after that: the round-11 wake is replaced and must
+     not fire. Vertex 0 sends in rounds 3 and 14. *)
+  let v0 r _ =
+    if r >= 16 then Network.step () ~halt:true
+    else
+      let next = if r < 3 then 3 else if r < 14 then 14 else 16 in
+      let send = if r = 3 || r = 14 then [ (1, r) ] else [] in
+      Network.step () ~send ~wake_after:(next - r)
+  in
+  let v1 r inbox =
+    if r = 1 then Network.step () ~wake_after:10
+    else if inbox <> [] && r >= 15 then Network.step () ~halt:true
+    else if inbox <> [] then Network.step () ~send:[ (0, r) ] ~wake_after:1
+    else if r = 5 then Network.step () ~send:[ (0, r) ]
+    else Network.step ()
+  in
+  List.iter
+    (fun how ->
+      Alcotest.(check (list int))
+        "round-11 wake replaced" [ 1; 4; 5; 15 ]
+        (wake_crash_harness ~v0 ~v1 ~crashes:[] how))
+    [ `Single; `Sharded ]
+
+(* vertex 1 sends and asks for the next round every round until it halts
+   in round 8 *)
+let every_round_until_8 r _ =
+  if r >= 8 then Network.step () ~halt:true
+  else Network.step () ~send:[ (0, r) ] ~wake_after:1
+
+let test_crash_cancels_wake_one () =
+  (* the crash lands in the round right after a one-round request *)
+  let crashes = [ { Faults.vertex = 1; at_round = 2; recover_round = None } ] in
+  List.iter
+    (fun how ->
+      Alcotest.(check (list int))
+        "not stepped after the crash" [ 1 ]
+        (wake_crash_harness ~v1:every_round_until_8 ~crashes how))
+    [ `Single; `Sharded ]
+
+let test_recovery_rearms_wake_one () =
+  let crashes =
+    [ { Faults.vertex = 1; at_round = 2; recover_round = Some 5 } ]
+  in
+  List.iter
+    (fun how ->
+      Alcotest.(check (list int))
+        "stepped again from the recovery on" [ 1; 5; 6; 7; 8 ]
+        (wake_crash_harness ~v1:every_round_until_8 ~crashes how))
+    [ `Single; `Sharded ]
 
 let test_fast_forwarded_wake_traffic () =
   (* the only traffic of the run is sent from a fast-forwarded wake: the
@@ -749,6 +810,11 @@ let () =
           tc "crash before wake" test_crash_before_wake;
           tc "recover before wake" test_recover_before_wake;
           tc "crash-recover-crash" test_crash_recover_crash;
+          tc "one-round wake overrides a longer one"
+            test_wake_one_overrides_longer_wake;
+          tc "crash cancels a one-round wake" test_crash_cancels_wake_one;
+          tc "recovery re-arms a one-round waker"
+            test_recovery_rearms_wake_one;
           tc "fast-forwarded wake traffic" test_fast_forwarded_wake_traffic;
         ] );
       ( "inbox footprint",
