@@ -7,10 +7,11 @@ type result = {
   stats : Network.stats;
 }
 
-(* state: best (deg, id) pair seen; changed flag controls re-broadcast *)
+(* state: the best (deg, id) pair seen, packed as the key deg * n + id
+   (ids lie in 0 .. n-1, so keys order exactly as [better] orders pairs);
+   the changed flag controls re-broadcast *)
 type state = {
-  best_deg : int;
-  best_id : int;
+  best : int;
   changed : bool;
 }
 
@@ -22,37 +23,38 @@ let run ?exec (view : Cluster_view.t) ~rounds =
   let n = Graph.n g in
   let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
-    { best_deg = List.length intra.(ctx.id); best_id = ctx.id; changed = true }
+    { best = (List.length intra.(ctx.id) * n) + ctx.id; changed = true }
   in
   let round r (ctx : Network.ctx) st inbox =
     let best =
       List.fold_left
-        (fun (d, i) (_, (d', i')) -> if better (d', i') (d, i) then (d', i') else (d, i))
-        (st.best_deg, st.best_id) inbox
+        (fun b (_, (key : int)) -> if key > b then key else b)
+        st.best inbox
     in
-    let bd, bi = best in
-    let changed = bd <> st.best_deg || bi <> st.best_id || r = 1 in
-    let st' = { best_deg = bd; best_id = bi; changed } in
+    let changed = best <> st.best || r = 1 in
+    let st' = { best; changed } in
     (* event-driven: a vertex whose belief is stable sleeps on its inbox;
        everyone keeps a timer for round [rounds + 1], where the run halts *)
     if r > rounds then Network.step st' ~halt:true
     else begin
       let send =
-        if changed then List.map (fun w -> (w, (bd, bi))) intra.(ctx.id)
-        else []
+        if changed then List.map (fun w -> (w, best)) intra.(ctx.id) else []
       in
       Network.step st' ~send ~wake_after:(rounds + 1 - r)
     end
   in
+  (* a key is a non-negative int, so it rides the inbox arena unboxed; it
+     is still charged as the two ids it encodes *)
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec ~codec:Network.int_codec g
+      ~schedule:Network.Event_driven
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 2)
       ~init ~round ~max_rounds:(rounds + 1)
   in
   {
-    leader_of = Array.map (fun st -> st.best_id) states;
-    leader_deg = Array.map (fun st -> st.best_deg) states;
+    leader_of = Array.map (fun st -> st.best mod n) states;
+    leader_deg = Array.map (fun st -> st.best / n) states;
     stats;
   }
 

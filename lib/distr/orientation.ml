@@ -53,8 +53,11 @@ let run ?exec (view : Cluster_view.t) ~density ?(delta = 0.5) () =
       Network.step st
   in
   let max_rounds = (2 * n) + 4 in
+  (* the message is the peel round, a positive int: it rides the inbox
+     arena unboxed *)
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec ~codec:Network.int_codec g
+      ~schedule:Network.Event_driven
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds

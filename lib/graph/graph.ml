@@ -112,6 +112,49 @@ let of_edge_array n raw =
 
 let of_edges n edges = of_edge_array n (Array.of_list edges)
 
+(* Two passes over the kept rows of [g]. Sub ids increase with original
+   ids, so filtering a sorted parent row keeps it sorted. Pass two walks
+   the sub vertices in increasing order and numbers each edge (i, j),
+   i < j, when row i reaches j: that is lexicographic order, the order
+   [of_edge_array] numbers edges in. Row j receives i before any of its
+   own higher neighbours, because every lower neighbour of j is visited
+   before j is, in increasing order. *)
+let induced g ~to_sub ~to_orig =
+  let k = Array.length to_orig in
+  let adj_off = Array.make (k + 1) 0 in
+  for i = 0 to k - 1 do
+    let v = to_orig.(i) in
+    let d = ref 0 in
+    for p = g.adj_off.(v) to g.adj_off.(v + 1) - 1 do
+      if to_sub.(g.adj_vtx.(p)) >= 0 then incr d
+    done;
+    adj_off.(i + 1) <- adj_off.(i) + !d
+  done;
+  let m = adj_off.(k) / 2 in
+  let adj_vtx = Array.make (2 * m) 0 and adj_eid = Array.make (2 * m) 0 in
+  let edge_ends = Array.make m (0, 0) and edge_to_orig = Array.make m 0 in
+  let cursor = Array.sub adj_off 0 k in
+  let next = ref 0 in
+  for i = 0 to k - 1 do
+    let v = to_orig.(i) in
+    for p = g.adj_off.(v) to g.adj_off.(v + 1) - 1 do
+      let j = to_sub.(g.adj_vtx.(p)) in
+      if j > i then begin
+        let e = !next in
+        incr next;
+        edge_ends.(e) <- (i, j);
+        edge_to_orig.(e) <- g.adj_eid.(p);
+        adj_vtx.(cursor.(i)) <- j;
+        adj_eid.(cursor.(i)) <- e;
+        cursor.(i) <- cursor.(i) + 1;
+        adj_vtx.(cursor.(j)) <- i;
+        adj_eid.(cursor.(j)) <- e;
+        cursor.(j) <- cursor.(j) + 1
+      end
+    done
+  done;
+  ({ n = k; adj_off; adj_vtx; adj_eid; edge_ends }, edge_to_orig)
+
 let empty n = of_edge_array n [||]
 
 let n g = g.n
@@ -163,6 +206,8 @@ let neighbor_at g v i =
       (Printf.sprintf "Graph.neighbor_at: index %d out of range for vertex %d"
          i v);
   g.adj_vtx.(lo + i)
+
+let csr g = (g.adj_off, g.adj_vtx)
 
 let iter_neighbors g v f =
   for i = g.adj_off.(v) to g.adj_off.(v + 1) - 1 do

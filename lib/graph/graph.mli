@@ -23,6 +23,19 @@ val of_edge_array : int -> (int * int) array -> t
 (** The empty graph on [n] isolated vertices. *)
 val empty : int -> t
 
+(** [induced g ~to_sub ~to_orig] is the subgraph of [g] induced by the
+    vertices [to_orig], written straight into CSR in
+    O(k + vol(to_orig)) for [k = Array.length to_orig], together with
+    the array mapping each new edge id to its edge id in [g].
+    Preconditions (not checked): [to_orig] is strictly increasing over
+    vertices of [g], and [to_sub] has length [n g] with
+    [to_sub.(to_orig.(i)) = i] and [-1] on every other vertex. The
+    result equals [of_edges k] applied to the kept edges renamed through
+    [to_sub]: same rows, and edge ids in lexicographic order of the new
+    endpoint pairs. {!Graph_ops.induced_subgraph} is the checked entry
+    point. *)
+val induced : t -> to_sub:int array -> to_orig:int array -> t * int array
+
 (** {1 Basic accessors} *)
 
 (** Number of vertices. *)
@@ -56,6 +69,13 @@ val find_edge : t -> int -> int -> int
     [0 .. degree g v - 1].
     @raise Invalid_argument if [v] or [i] is out of range. *)
 val neighbor_at : t -> int -> int -> int
+
+(** [csr g] is [(offsets, neighbors)], the graph's own CSR arrays: the
+    neighbours of [v], in increasing order, are [neighbors.(i)] for
+    [offsets.(v) <= i < offsets.(v + 1)]. It is for inner loops that
+    cannot afford a closure per vertex. The arrays are shared, not
+    copied, so they are read-only: a caller must never write to them. *)
+val csr : t -> int array * int array
 
 (** {1 Iteration} *)
 

@@ -7,21 +7,30 @@ type mapping = {
 let induced_subgraph g vs =
   let n = Graph.n g in
   let to_sub = Array.make n (-1) in
-  let uniq = List.sort_uniq compare vs in
-  List.iteri (fun i v -> to_sub.(v) <- i) uniq;
-  let to_orig = Array.of_list uniq in
-  let sub_n = Array.length to_orig in
-  let kept = ref [] in
-  Graph.iter_edges g (fun e u v ->
-      if to_sub.(u) >= 0 && to_sub.(v) >= 0 then
-        kept := (e, to_sub.(u), to_sub.(v)) :: !kept);
-  let kept = List.rev !kept in
-  let sub = Graph.of_edges sub_n (List.map (fun (_, u, v) -> (u, v)) kept) in
-  (* Graph.of_edges sorts lexicographically; rebuild edge_to_orig by lookup. *)
-  let edge_to_orig = Array.make (Graph.m sub) (-1) in
+  let k = ref 0 in
   List.iter
-    (fun (e, u, v) -> edge_to_orig.(Graph.find_edge sub u v) <- e)
-    kept;
+    (fun v ->
+      if v < 0 || v >= n then
+        invalid_arg
+          (Printf.sprintf
+             "Graph_ops.induced_subgraph: vertex %d out of range for n = %d" v
+             n);
+      if to_sub.(v) < 0 then begin
+        to_sub.(v) <- 0;
+        incr k
+      end)
+    vs;
+  (* number the marked vertices in increasing original id *)
+  let to_orig = Array.make !k 0 in
+  let next = ref 0 in
+  for v = 0 to n - 1 do
+    if to_sub.(v) >= 0 then begin
+      to_sub.(v) <- !next;
+      to_orig.(!next) <- v;
+      incr next
+    end
+  done;
+  let sub, edge_to_orig = Graph.induced g ~to_sub ~to_orig in
   (sub, { to_sub; to_orig; edge_to_orig })
 
 let identity_vertex_maps g =

@@ -9,8 +9,11 @@ type mapping = {
   edge_to_orig : int array;  (** new edge id -> original edge id, or [-1] *)
 }
 
-(** [induced_subgraph g vs] restricts [g] to the vertex set [vs] (duplicates
-    ignored). *)
+(** [induced_subgraph g vs] restricts [g] to the vertex set [vs]
+    (duplicates ignored, any order). New vertex [i] is the [i]-th smallest
+    vertex of [vs], and the graph is the one {!Graph.of_edges} builds from
+    the kept edges, built by {!Graph.induced} in O(n + vol(vs)).
+    @raise Invalid_argument if a vertex of [vs] is outside [0 .. n-1]. *)
 val induced_subgraph : Graph.t -> int list -> Graph.t * mapping
 
 (** [subgraph_of_edges g es] keeps all [n] vertices but only the edges whose

@@ -1,21 +1,31 @@
+(* Drains a flat FIFO: [queue.(head .. tail-1)] holds the frontier, each
+   vertex enters it once, so [n] slots suffice. *)
 let bfs_multi g sources =
   let n = Graph.n g in
+  let off, adj = Graph.csr g in
   let dist = Array.make n (-1) in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
+  let tail = ref 0 in
   List.iter
     (fun s ->
       if dist.(s) < 0 then begin
         dist.(s) <- 0;
-        Queue.add s queue
+        queue.(!tail) <- s;
+        incr tail
       end)
     sources;
-  while not (Queue.is_empty queue) do
-    let v = Queue.pop queue in
-    Graph.iter_neighbors g v (fun w ->
-        if dist.(w) < 0 then begin
-          dist.(w) <- dist.(v) + 1;
-          Queue.add w queue
-        end)
+  let head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for p = off.(v) to off.(v + 1) - 1 do
+      let w = adj.(p) in
+      if dist.(w) < 0 then begin
+        dist.(w) <- dist.(v) + 1;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
   done;
   dist
 
@@ -51,22 +61,28 @@ let bfs_layers g src =
 
 let components g =
   let n = Graph.n g in
+  let off, adj = Graph.csr g in
   let label = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let count = ref 0 in
   for v = 0 to n - 1 do
     if label.(v) < 0 then begin
       let c = !count in
       incr count;
-      let queue = Queue.create () in
       label.(v) <- c;
-      Queue.add v queue;
-      while not (Queue.is_empty queue) do
-        let u = Queue.pop queue in
-        Graph.iter_neighbors g u (fun w ->
-            if label.(w) < 0 then begin
-              label.(w) <- c;
-              Queue.add w queue
-            end)
+      queue.(0) <- v;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let u = queue.(!head) in
+        incr head;
+        for p = off.(u) to off.(u + 1) - 1 do
+          let w = adj.(p) in
+          if label.(w) < 0 then begin
+            label.(w) <- c;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
       done
     end
   done;

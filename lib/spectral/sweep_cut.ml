@@ -6,9 +6,29 @@ type cut = {
   lambda2 : float option;
 }
 
+(* One application of W = (I + D^{-1/2} A D^{-1/2}) / 2 into [y], over
+   the CSR rows [off]/[adj], with [sqrt_deg] = D^{1/2}. Bit identity with
+   the textbook scatter rests on the order of the float operations: y.(w)
+   starts at 0. and adds its terms in increasing order of the row u that
+   sends them, its own x.(w) / 2 term at u = w. *)
+(* lint: hot *)
+let apply_walk off adj sqrt_deg x y =
+  Array.fill y 0 (Array.length y) 0.;
+  for u = 0 to Array.length x - 1 do
+    y.(u) <- y.(u) +. (x.(u) /. 2.);
+    if sqrt_deg.(u) > 0. then begin
+      let xu = x.(u) /. sqrt_deg.(u) in
+      for i = off.(u) to off.(u + 1) - 1 do
+        let w = adj.(i) in
+        y.(w) <- y.(w) +. (xu /. (2. *. sqrt_deg.(w)))
+      done
+    end
+  done
+
 let fiedler g ~iters ~seed =
   let n = Graph.n g in
   if Graph.m g = 0 then invalid_arg "Sweep_cut.fiedler: graph has no edges";
+  let off, adj = Graph.csr g in
   let sqrt_deg = Array.init n (fun v -> sqrt (float_of_int (Graph.degree g v))) in
   let top = Array.copy sqrt_deg in
   Linalg.normalize top;
@@ -16,26 +36,17 @@ let fiedler g ~iters ~seed =
   let x = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
   Linalg.orthogonalize_against top x;
   Linalg.normalize x;
-  (* one application of W = (I + D^{-1/2} A D^{-1/2}) / 2 *)
-  let apply x =
-    let y = Array.make n 0. in
-    for u = 0 to n - 1 do
-      y.(u) <- y.(u) +. (x.(u) /. 2.);
-      if sqrt_deg.(u) > 0. then begin
-        let xu = x.(u) /. sqrt_deg.(u) in
-        Graph.iter_neighbors g u (fun w ->
-            y.(w) <- y.(w) +. (xu /. (2. *. sqrt_deg.(w))))
-      end
-    done;
-    y
-  in
-  let cur = ref x in
+  (* two buffers swap roles every iteration: [cur] is the iterate, [nxt]
+     receives W applied to it *)
+  let cur = ref x and nxt = ref (Array.make n 0.) in
   let mu = ref 0. in
   for _ = 1 to iters do
-    let y = apply !cur in
+    let y = !nxt in
+    apply_walk off adj sqrt_deg !cur y;
     Linalg.orthogonalize_against top y;
     mu := Linalg.dot !cur y /. Linalg.dot !cur !cur;
     Linalg.normalize y;
+    nxt := !cur;
     cur := y
   done;
   (* walk eigenvalue mu = 1 - lambda2 / 2 for the lazy normalized walk *)
@@ -49,14 +60,14 @@ let fiedler g ~iters ~seed =
 let sweep g embedding =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Sweep_cut.sweep: need at least 2 vertices";
+  let off, adj = Graph.csr g in
   let order = Array.init n Fun.id in
-  (* ties between equal embedding values break by vertex id: Array.sort is
-     unstable, so without the tie-break the returned cut would depend on
-     sort internals rather than on the input *)
-  Array.sort
+  (* ties between equal embedding values break by vertex id, so the cut is
+     a function of the input, not of the sort's internals *)
+  Array.stable_sort
     (fun a b ->
-      let c = compare embedding.(a) embedding.(b) in
-      if c <> 0 then c else compare a b)
+      let c = Float.compare embedding.(a) embedding.(b) in
+      if c <> 0 then c else Int.compare a b)
     order;
   let total_vol = 2 * Graph.m g in
   let inside = Array.make n false in
@@ -67,12 +78,14 @@ let sweep g embedding =
   for i = 0 to n - 2 do
     let v = order.(i) in
     (* moving v inside: edges to inside stop crossing, edges to outside start *)
-    let to_inside =
-      Graph.fold_neighbors g v (fun acc w -> if inside.(w) then acc + 1 else acc) 0
-    in
+    let to_inside = ref 0 in
+    for p = off.(v) to off.(v + 1) - 1 do
+      if inside.(adj.(p)) then incr to_inside
+    done;
+    let deg = off.(v + 1) - off.(v) in
     inside.(v) <- true;
-    cut := !cut + Graph.degree g v - (2 * to_inside);
-    vol := !vol + Graph.degree g v;
+    cut := !cut + deg - (2 * !to_inside);
+    vol := !vol + deg;
     let denom = min !vol (total_vol - !vol) in
     let phi =
       if denom = 0 then if !cut = 0 then 0. else infinity
@@ -114,68 +127,65 @@ let tree_cut g =
   let n = Graph.n g in
   if n < 2 || Graph.m g = 0 then
     invalid_arg "Sweep_cut.tree_cut: need a connected graph with an edge";
-  (* iterative DFS from 0: tin/tout intervals and subtree volumes *)
+  let off, adj = Graph.csr g in
+  (* iterative DFS from 0: tin/tout intervals and subtree volumes. The
+     stack holds [v] to open v and [lnot v] to close it; every incidence
+     pushes at most once, so 2m + n + 1 slots suffice. *)
   let tin = Array.make n (-1) and tout = Array.make n (-1) in
   let parent = Array.make n (-1) in
-  let order = ref [] in
+  let pre = Array.make n 0 in
   let clock = ref 0 in
-  let stack = ref [ (0, false) ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | (v, closing) :: rest ->
-        stack := rest;
-        if closing then begin
-          tout.(v) <- !clock - 1
+  let stack = Array.make ((2 * Graph.m g) + n + 1) 0 in
+  stack.(0) <- 0;
+  let top = ref 1 in
+  while !top > 0 do
+    decr top;
+    let s = stack.(!top) in
+    if s < 0 then tout.(lnot s) <- !clock - 1
+    else if tin.(s) < 0 then begin
+      tin.(s) <- !clock;
+      pre.(!clock) <- s;
+      incr clock;
+      stack.(!top) <- lnot s;
+      incr top;
+      for p = off.(s) to off.(s + 1) - 1 do
+        let w = adj.(p) in
+        if tin.(w) < 0 then begin
+          parent.(w) <- s;
+          stack.(!top) <- w;
+          incr top
         end
-        else if tin.(v) < 0 then begin
-          tin.(v) <- !clock;
-          incr clock;
-          order := v :: !order;
-          stack := (v, true) :: !stack;
-          Graph.iter_neighbors g v (fun w ->
-              if tin.(w) < 0 then begin
-                parent.(w) <- v;
-                stack := (w, false) :: !stack
-              end)
-        end
+      done
+    end
   done;
-  (* order holds reverse DFS preorder: descendants come before parents, so
-     one pass accumulates subtree volumes and path counts *)
-  let depth = Array.make n 0 in
-  List.iter
-    (fun v -> if parent.(v) >= 0 then depth.(v) <- depth.(parent.(v)) + 1)
-    (List.rev !order);
+  let reached = !clock in
   let subtree_vol = Array.make n 0 in
   (* diff counts: a non-tree edge (u, v) crosses exactly the subtrees rooted
      on the tree path between u and v; mark +1 at u and v, -2 at their lca,
-     and subtree-sum *)
+     and subtree-sum. In a DFS tree every non-tree edge joins a vertex to
+     one of its ancestors, so the lca is the endpoint visited first. *)
   let diff = Array.make n 0 in
-  let lca u v =
-    let u = ref u and v = ref v in
-    while !u <> !v do
-      if depth.(!u) >= depth.(!v) then u := parent.(!u) else v := parent.(!v)
-    done;
-    !u
-  in
   Graph.iter_edges g (fun _ u v ->
+      if tin.(u) < 0 then invalid_arg "Sweep_cut.tree_cut: disconnected graph";
       if parent.(v) <> u && parent.(u) <> v then begin
         (* non-tree edge (tree edges are exactly parent links) *)
         diff.(u) <- diff.(u) + 1;
         diff.(v) <- diff.(v) + 1;
-        let a = lca u v in
+        let a = if tin.(u) < tin.(v) then u else v in
         diff.(a) <- diff.(a) - 2
       end);
   let path_count = diff in
-  List.iter
-    (fun v ->
-      subtree_vol.(v) <- subtree_vol.(v) + Graph.degree g v;
-      let p = parent.(v) in
-      if p >= 0 then begin
-        subtree_vol.(p) <- subtree_vol.(p) + subtree_vol.(v);
-        path_count.(p) <- path_count.(p) + path_count.(v)
-      end)
-    !order;
+  (* pre holds DFS preorder: parents come before descendants, so one pass
+     backwards accumulates subtree volumes and path counts *)
+  for i = reached - 1 downto 0 do
+    let v = pre.(i) in
+    subtree_vol.(v) <- subtree_vol.(v) + Graph.degree g v;
+    let p = parent.(v) in
+    if p >= 0 then begin
+      subtree_vol.(p) <- subtree_vol.(p) + subtree_vol.(v);
+      path_count.(p) <- path_count.(p) + path_count.(v)
+    end
+  done;
   let inside v root = tin.(root) <= tin.(v) && tin.(v) <= tout.(root) in
   let total_vol = 2 * Graph.m g in
   let best_root = ref (-1) in

@@ -19,12 +19,23 @@ type cut = {
 
 (** [fiedler g ~iters ~seed] returns the (approximate) second-eigenvector
     embedding and its eigenvalue estimate [lambda_2] of the normalized
-    Laplacian. Requires a graph with at least one edge. *)
+    Laplacian. Requires a graph with at least one edge.
+
+    Each step applies [W] over the graph's CSR rows ({!Sparse_graph.Graph.csr})
+    into one of two buffers that swap roles, so a step allocates nothing.
+    Results are bit-identical to the textbook scatter [y <- W x] with a
+    fresh [y] per step: every [y.(w)] starts at [0.] and adds the same
+    float terms in increasing order of the row that sends them. The
+    decomposition's labels depend on these bits, so any rewrite of the
+    step must keep that order (a qcheck property compares it with a
+    closure-based copy using [Int64.bits_of_float]). *)
 val fiedler :
   Sparse_graph.Graph.t -> iters:int -> seed:int -> float array * float
 
 (** [sweep g embedding] scans the vertices in embedding order and returns
-    the prefix cut with minimum conductance. Requires [1 < n]. The
+    the prefix cut with minimum conductance. Requires [1 < n]. The order
+    is by [Float.compare] on the embedding, then by vertex id, a strict
+    total order, so the cut does not depend on the sort algorithm. The
     [lambda2] field is [None] (unknown from the embedding alone). *)
 val sweep : Sparse_graph.Graph.t -> float array -> cut
 
@@ -42,7 +53,9 @@ val bfs_sweep : Sparse_graph.Graph.t -> cut
     that separates the subtree below it, and returns the best; exact on
     trees (where the optimum is a single-edge cut) and a useful candidate
     on tree-like graphs. Requires a connected graph with at least one
-    edge. [lambda2] is [None]. *)
+    edge. [lambda2] is [None]. Every non-tree edge of a DFS tree joins a
+    vertex to its ancestor, so the crossing counts take O(n + m).
+    @raise Invalid_argument if some edge is unreachable from vertex 0. *)
 val tree_cut : Sparse_graph.Graph.t -> cut
 
 (** [combined_cut g ~iters ~seed] is the best of {!best_cut}, {!bfs_sweep},

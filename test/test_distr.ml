@@ -300,6 +300,15 @@ let test_tree_routing_clustered () =
         toks)
     r.delivered
 
+(* The repo benchmark's framework graph, prepared as the pinned tests
+   below use it: the 16-blob chain under the MIS epsilon. *)
+let blob_fixture =
+  lazy
+    (let g = Generators.blob_chain ~blobs:16 ~blob_size:32 ~seed:20220711 in
+     let density = max 1. (Graph.edge_density g) in
+     let epsilon = min 0.999 (max 1e-6 (0.5 /. ((2. *. density) +. 1.))) in
+     (density, Core.Pipeline.prepare ~mode:Core.Pipeline.Charged g ~epsilon ~seed:0))
+
 (* Pinned walk routing on the repo benchmark's framework graph: the
    16-blob chain's cluster view under the MIS epsilon, the leaders
    (central election rule) and one token per owned edge of the
@@ -310,13 +319,9 @@ let test_tree_routing_clustered () =
    result. *)
 let blob_walk_fixture =
   lazy
-    (let g = Generators.blob_chain ~blobs:16 ~blob_size:32 ~seed:20220711 in
-     let density = max 1. (Graph.edge_density g) in
-     let epsilon = min 0.999 (max 1e-6 (0.5 /. ((2. *. density) +. 1.))) in
-     let p =
-       Core.Pipeline.prepare ~mode:Core.Pipeline.Charged g ~epsilon ~seed:0
-     in
-     let view = p.Core.Pipeline.view in
+    (let density, p = Lazy.force blob_fixture in
+     let g = p.Core.Pipeline.graph in
+     let view = p.view in
      let o = Orientation.run view ~density () in
      let tokens = Array.make (Graph.n g) 0 in
      Array.iter (fun v -> if v >= 0 then tokens.(v) <- tokens.(v) + 1) o.owner;
@@ -383,6 +388,58 @@ let test_walk_routing_pinned_blob () =
   let wl, seed, _, _, _, _, _, _, _, _ = pinned_walk_drop in
   Alcotest.check pin "drop rate 0.1" pinned_walk_drop
     (run ~faults:(Congest.Faults.make ~drop_rate:0.1 ~seed:5 ()) wl seed)
+
+(* Leader election and orientation pinned on the same view, as the
+   simulated pipeline runs them (election for the diameter bound's
+   rounds). Outputs are pinned by an MD5 of their text, with the run
+   statistics; every value below was recorded from the build in which
+   both sent boxed messages, before the election's (degree, id) pair and
+   the peel round travelled as packed ints. [Single] and two shards must
+   give the same result. *)
+let ints_digest a =
+  Array.to_list a |> List.map string_of_int |> String.concat ","
+  |> Digest.string |> Digest.to_hex
+
+let stats_text (s : Congest.Network.stats) =
+  Printf.sprintf
+    "rounds=%d messages=%d dropped=%d bits=%d max_edge_bits=%d completed=%b \
+     last_traffic=%d"
+    s.rounds s.messages s.dropped s.total_bits s.max_edge_bits s.completed
+    s.last_traffic_round
+
+let pinned_election =
+  "leader_of=6897bb186996d661b20cc1ab82e42369 \
+   leader_deg=28707856c05bc2160276cf682a98dc92 rounds=9 messages=7928 \
+   dropped=0 bits=142704 max_edge_bits=18 completed=true last_traffic=7"
+
+let pinned_orientation =
+  "owner=85c3bd6d167bb965352b58d2fab83b3f \
+   out_degree=650c0313fb154644c9820f9395dfccaf phases=2 rounds=3 \
+   messages=2896 dropped=735 bits=26064 max_edge_bits=9 completed=true \
+   last_traffic=2"
+
+let test_election_orientation_pinned_blob () =
+  let density, p = Lazy.force blob_fixture in
+  let view = p.Core.Pipeline.view in
+  let pool = Parallel.Pool.create ~jobs:2 () in
+  let election ?exec () =
+    let r = Leader_election.run ?exec view ~rounds:p.report.diameter_bound in
+    Printf.sprintf "leader_of=%s leader_deg=%s %s" (ints_digest r.leader_of)
+      (ints_digest r.leader_deg) (stats_text r.stats)
+  in
+  let orientation ?exec () =
+    let r = Orientation.run ?exec view ~density () in
+    Printf.sprintf "owner=%s out_degree=%s phases=%d %s" (ints_digest r.owner)
+      (ints_digest r.out_degree) r.phases (stats_text r.stats)
+  in
+  let exec = Congest.Network.Sharded { shards = 2; pool } in
+  Alcotest.(check string) "election single" pinned_election (election ());
+  Alcotest.(check string) "election two shards" pinned_election
+    (election ~exec ());
+  Alcotest.(check string) "orientation single" pinned_orientation
+    (orientation ());
+  Alcotest.(check string) "orientation two shards" pinned_orientation
+    (orientation ~exec ())
 
 let test_walk_routing_id_overflow () =
   let view = Cluster_view.whole (Generators.path 4) in
@@ -709,6 +766,8 @@ let () =
           tc "tie break by id" test_leader_tie_break;
           tc "clustered" test_leader_clustered;
           tc "insufficient rounds detected" test_leader_insufficient_rounds_detected;
+          tc "election and orientation pinned on blob chain"
+            test_election_orientation_pinned_blob;
         ] );
       ( "bfs_broadcast",
         [

@@ -147,6 +147,24 @@ let test_graph_io_endpoint_range () =
   Alcotest.(check int) "edge to n - 1 kept" 1 (Graph.m g)
 
 (* ------------------------------------------------------------------ *)
+(* Induced subgraph input validation                                   *)
+(* ------------------------------------------------------------------ *)
+
+let test_induced_subgraph_vertex_range () =
+  let g = Generators.path 5 in
+  List.iter
+    (fun (vs, v) ->
+      Alcotest.check_raises
+        (Printf.sprintf "vertex %d" v)
+        (Invalid_argument
+           (Printf.sprintf
+              "Graph_ops.induced_subgraph: vertex %d out of range for n = 5" v))
+        (fun () -> ignore (Graph_ops.induced_subgraph g vs)))
+    [ ([ 0; 5 ], 5); ([ -1; 2 ], -1); ([ 1; 2; 99; 3 ], 99) ];
+  let sub, _ = Graph_ops.induced_subgraph g [ 4; 3 ] in
+  Alcotest.(check int) "vertex n - 1 kept" 1 (Graph.m sub)
+
+(* ------------------------------------------------------------------ *)
 (* Weighted matching reconstruction (qcheck)                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -287,5 +305,8 @@ let () =
           tc "negative header" test_graph_io_negative_header;
           tc "endpoint out of range" test_graph_io_endpoint_range;
         ] );
+      ( "graph_ops",
+        [ tc "induced subgraph vertex out of range"
+            test_induced_subgraph_vertex_range ] );
       ("qcheck", qcheck_cases);
     ]

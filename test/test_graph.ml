@@ -555,6 +555,72 @@ let prop_induced_subgraph_edges =
       in
       Graph.m sub = expected)
 
+(* Test-only oracle: the list-based induced subgraph, which scans every
+   edge of [g], sorts with the polymorphic compare, rebuilds through
+   Graph.of_edges and looks each kept edge up by find_edge. *)
+let induced_subgraph_oracle g vs =
+  let n = Graph.n g in
+  let to_sub = Array.make n (-1) in
+  let uniq = List.sort_uniq compare vs in
+  List.iteri (fun i v -> to_sub.(v) <- i) uniq;
+  let to_orig = Array.of_list uniq in
+  let kept = ref [] in
+  Graph.iter_edges g (fun e u v ->
+      if to_sub.(u) >= 0 && to_sub.(v) >= 0 then
+        kept := (e, to_sub.(u), to_sub.(v)) :: !kept);
+  let kept = List.rev !kept in
+  let sub =
+    Graph.of_edges (Array.length to_orig)
+      (List.map (fun (_, u, v) -> (u, v)) kept)
+  in
+  let edge_to_orig = Array.make (Graph.m sub) (-1) in
+  List.iter
+    (fun (e, u, v) -> edge_to_orig.(Graph.find_edge sub u v) <- e)
+    kept;
+  (sub, { Graph_ops.to_sub; to_orig; edge_to_orig })
+
+let incidences g v =
+  let acc = ref [] in
+  Graph.iter_incident g v (fun w e -> acc := (w, e) :: !acc);
+  List.rev !acc
+
+(* a graph, then a vertex list: empty, every vertex in descending order,
+   or a random list with duplicates in any order *)
+let arb_graph_and_vertices =
+  let open QCheck in
+  let gen =
+    Gen.(
+      arb_graph.gen >>= fun (n, edges) ->
+      frequency
+        [
+          (1, return []);
+          (1, return (List.rev (List.init n Fun.id)));
+          (6, list_size (int_range 0 (2 * n)) (map (fun v -> v mod n) nat));
+        ]
+      >|= fun vs -> (n, edges, vs))
+  in
+  make gen ~print:(fun (n, edges, vs) ->
+      Printf.sprintf "%s vs=[%s]"
+        (Option.get arb_graph.print (n, edges))
+        (String.concat ";" (List.map string_of_int vs)))
+
+let prop_induced_subgraph_matches_oracle =
+  QCheck.Test.make ~name:"CSR induced subgraph equals the list-based oracle"
+    ~count:300 arb_graph_and_vertices (fun (n, edges, vs) ->
+      let g = Graph.of_edges n edges in
+      let sub, map = Graph_ops.induced_subgraph g vs in
+      let want, wmap = induced_subgraph_oracle g vs in
+      Graph.check_invariants sub;
+      Graph.n sub = Graph.n want
+      && Graph.m sub = Graph.m want
+      && Graph.edges sub = Graph.edges want
+      && List.for_all
+           (fun v -> incidences sub v = incidences want v)
+           (List.init (Graph.n sub) Fun.id)
+      && map.edge_to_orig = wmap.edge_to_orig
+      && map.to_sub = wmap.to_sub
+      && map.to_orig = wmap.to_orig)
+
 let prop_bfs_triangle_inequality =
   QCheck.Test.make ~name:"bfs distances obey edge triangle inequality"
     ~count:200 arb_graph (fun (n, edges) ->
@@ -608,6 +674,7 @@ let qcheck_cases =
       prop_invariants;
       prop_handshake;
       prop_induced_subgraph_edges;
+      prop_induced_subgraph_matches_oracle;
       prop_bfs_triangle_inequality;
       prop_diameter_matches_oracle;
       prop_contract_minor_smaller;

@@ -313,6 +313,12 @@ let test_tree_cut_with_extra_edges () =
     (Conductance.of_cut g cut.side)
     cut.conductance
 
+let test_tree_cut_disconnected () =
+  (* an edge the DFS from 0 never reaches *)
+  Alcotest.check_raises "two components"
+    (Invalid_argument "Sweep_cut.tree_cut: disconnected graph") (fun () ->
+      ignore (Sweep_cut.tree_cut (Graph.of_edges 4 [ (0, 1); (2, 3) ])))
+
 let test_combined_cut_dominates () =
   (* combined picks the min of its candidates *)
   List.iter
@@ -512,6 +518,69 @@ let prop_sweep_is_real_cut =
       let recomputed = Conductance.of_cut g cut.side in
       abs_float (recomputed -. cut.conductance) < 1e-9)
 
+(* Test-only oracle: the closure-based power iteration, one fresh [y] per
+   iteration and an iter_neighbors closure per vertex. *)
+let fiedler_oracle g ~iters ~seed =
+  let n = Graph.n g in
+  let sqrt_deg = Array.init n (fun v -> sqrt (float_of_int (Graph.degree g v))) in
+  let top = Array.copy sqrt_deg in
+  Linalg.normalize top;
+  let st = Random.State.make [| seed; 211 |] in
+  let x = Array.init n (fun _ -> Random.State.float st 2. -. 1.) in
+  Linalg.orthogonalize_against top x;
+  Linalg.normalize x;
+  let apply x =
+    let y = Array.make n 0. in
+    for u = 0 to n - 1 do
+      y.(u) <- y.(u) +. (x.(u) /. 2.);
+      if sqrt_deg.(u) > 0. then begin
+        let xu = x.(u) /. sqrt_deg.(u) in
+        Graph.iter_neighbors g u (fun w ->
+            y.(w) <- y.(w) +. (xu /. (2. *. sqrt_deg.(w))))
+      end
+    done;
+    y
+  in
+  let cur = ref x in
+  let mu = ref 0. in
+  for _ = 1 to iters do
+    let y = apply !cur in
+    Linalg.orthogonalize_against top y;
+    mu := Linalg.dot !cur y /. Linalg.dot !cur !cur;
+    Linalg.normalize y;
+    cur := y
+  done;
+  let lambda2 = 2. *. (1. -. !mu) in
+  let embedding =
+    Array.init n (fun v ->
+        if sqrt_deg.(v) > 0. then !cur.(v) /. sqrt_deg.(v) else !cur.(v))
+  in
+  (embedding, lambda2)
+
+(* connected graphs, plus isolated vertices appended when [isolated] > 0
+   (the zero-degree branch of the walk) *)
+let prop_fiedler_matches_oracle =
+  QCheck.Test.make ~name:"CSR power iteration is bit-equal to the oracle"
+    ~count:100
+    QCheck.(
+      quad arb_connected_graph (int_range 0 3) (int_range 0 80)
+        (int_range 0 1000))
+    (fun (input, isolated, iters, seed) ->
+      let g =
+        Graph_ops.disjoint_union (build_connected input) (Graph.empty isolated)
+      in
+      let bits = Int64.bits_of_float in
+      let e, l = Sweep_cut.fiedler g ~iters ~seed in
+      let e', l' = fiedler_oracle g ~iters ~seed in
+      bits l = bits l' && Array.map bits e = Array.map bits e')
+
+let prop_tree_cut_is_real_cut =
+  QCheck.Test.make ~name:"tree cut conductance equals its own cut's conductance"
+    ~count:100 arb_connected_graph (fun input ->
+      let g = build_connected input in
+      let cut = Sweep_cut.tree_cut g in
+      abs_float (Conductance.of_cut g cut.side -. cut.conductance) < 1e-9)
+
 let prop_decomposition_budget =
   QCheck.Test.make ~name:"decomposition respects the epsilon edge budget"
     ~count:60
@@ -549,6 +618,8 @@ let qcheck_cases =
     [
       prop_walk_mass;
       prop_sweep_is_real_cut;
+      prop_fiedler_matches_oracle;
+      prop_tree_cut_is_real_cut;
       prop_decomposition_budget;
       prop_decomposition_covers;
       prop_exact_phi_below_any_cut;
@@ -599,6 +670,7 @@ let () =
           tc "bfs sweep on path" test_bfs_sweep_path;
           tc "tree cut exact on trees" test_tree_cut_exact_on_trees;
           tc "tree cut on augmented trees" test_tree_cut_with_extra_edges;
+          tc "tree cut on a disconnected graph" test_tree_cut_disconnected;
           tc "combined cut dominates" test_combined_cut_dominates;
         ] );
       ( "local_cluster",
